@@ -955,6 +955,9 @@ let input_value t key =
 
 let has_input t key = Hashtbl.mem t.input_ids key
 
+(** Every input key the structure reads, with its current value. *)
+let iter_inputs t f = Hashtbl.iter (fun key id -> f key (vget t id)) t.input_ids
+
 (** Temporarily set some inputs, run [f], restore — the free-variable query
     mechanism in the proof of Theorem 8. Both directions go through
     {!set_inputs}, so the 2·|x̄| weight flips of a tuple query cost two
@@ -1390,9 +1393,9 @@ let replay ?structural t (j : 'a Journal.t) =
   Fun.protect
     ~finally:(fun () -> t.journal <- journal)
     (fun () ->
-      List.iter
+      Journal.iter
         (fun b ->
           match Journal.structural b with
           | Some s -> structural s
           | None -> set_inputs t (Journal.writes b))
-        (Journal.batches j))
+        j)

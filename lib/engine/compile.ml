@@ -14,7 +14,8 @@
        color assignments — identity (12) of Lemma 35;
     4. for each subset, build a low-depth elimination forest of the induced
        subgraph and compile each summand by shapes (Lemmas 29–33), with
-       relation literals resolved per shape against the database.
+       relation literals resolved per shape against the database; what
+       those checks make statically zero is never emitted (DESIGN.md §10).
 
     The pipeline is re-entrant: {!compile_plan} additionally returns a
     {!plan} — the live Gaifman graph, the pinned coloring, and the raw
@@ -41,7 +42,8 @@ let pp_meta fmt m =
     m.p m.num_colors m.num_subsets m.max_forest_depth m.num_shapes m.num_summands
     m.opt.Opt.r_gates_before m.opt.Opt.r_gates_after
 
-let color_rel c = Printf.sprintf "__color_%d" c
+let color_prefix = "__color_"
+let color_rel c = color_prefix ^ string_of_int c
 
 (* Compilation metrics (scope "compile"): per-phase wall time through the
    Figure 2 pipeline, plus the circuit parameters Theorem 6 bounds. The
@@ -89,13 +91,20 @@ let surjective_maps vars subset =
     (fun m -> List.for_all (fun c -> List.exists (fun (_, c') -> c' = c) m) subset)
     (go vars)
 
+(* the color [c] of a [color_rel c] name, read in place: this runs once
+   per color check of every (shape node, forest node) pair *)
+let color_of_rel r =
+  let c = ref 0 in
+  for i = String.length color_prefix to String.length r - 1 do
+    c := (!c * 10) + Char.code r.[i] - Char.code '0'
+  done;
+  !c
+
 (* the compiled [holds] predicate: color pseudo-relations resolve against
    the pinned coloring, everything else against the (mutable) instance *)
 let mk_holds inst (color : int array) r tuple =
-  if String.length r > 8 && String.sub r 0 8 = "__color_" then
-    match tuple with
-    | [ v ] -> color.(v) = int_of_string (String.sub r 8 (String.length r - 8))
-    | _ -> false
+  if String.starts_with ~prefix:color_prefix r then
+    match tuple with [ v ] -> color.(v) = color_of_rel r | _ -> false
   else Db.Instance.mem inst r tuple
 
 (* instrumented timing combinator shared by compile and recompile paths;
@@ -155,25 +164,38 @@ type 'a plan = {
   pl_segments : segment list;  (** in raw emission order *)
 }
 
+(* [Shape.enumerate] once per (summand index, forest depth) for one
+   compile or one localized recompile: the color literals of a subset's
+   surjective maps are unary, so they never kill or split a shape and
+   are attached per map by [Shape.with_unary_rels] instead. The cache
+   lives only as long as the compile, so cold compiles stay cold. *)
+let shape_cache () =
+  let tbl = Hashtbl.create 16 in
+  fun i summand d ->
+    match Hashtbl.find_opt tbl (i, d) with
+    | Some shapes -> shapes
+    | None ->
+        let shapes = Shapes.Shape.enumerate ~d ~summand () in
+        Hashtbl.add tbl (i, d) shapes;
+        shapes
+
 (* Compile one color subset into the builder: the induced elimination
    forest comes from the live graph's per-subset cache, then every
-   relevant summand × surjective color map is compiled by shapes. Returns
-   the subset's top-level gates (emission order), forest depth, and shape
-   count — or [None] when the subset has nothing to compile (both
-   conditions depend only on the pinned coloring and the summand set, so
-   a skipped subset stays skipped across structural updates). *)
+   relevant summand × surjective color map is compiled by shapes, and
+   the statically-zero ones are left out. Returns the subset's top-level
+   gates (emission order; possibly none), forest depth, and shape count
+   — or [None] when the subset has nothing to compile (both conditions
+   depend only on the pinned coloring and the summand set, so a skipped
+   subset stays skipped across structural updates). *)
 let compile_subset (type a) b ~(nf : a Logic.Normal.summand list) ~holds ~dynamic
     ~(zero : a) ~(one : a) ~(live : Graphs.Live.t) ~(verts : int list) ~check_budget
-    ~(max_depth : int) ~timed ~t_decomp ~t_emit subset :
+    ~(max_depth : int) ~enum_shapes ~timed ~t_decomp ~t_emit subset :
     (int list * int * int) option =
-  let relevant =
-    List.filter
-      (fun s ->
-        let q = List.length (Logic.Normal.summand_vars s) in
-        q >= List.length subset && q > 0)
-      nf
+  let is_relevant s =
+    let q = List.length (Logic.Normal.summand_vars s) in
+    q >= List.length subset && q > 0
   in
-  if verts = [] || relevant = [] then None
+  if verts = [] || not (List.exists is_relevant nf) then None
   else begin
     Obs.Trace.span ~scope:"compile" "subset"
       ~attrs:
@@ -194,53 +216,41 @@ let compile_subset (type a) b ~(nf : a Logic.Normal.summand list) ~holds ~dynami
     let fs = { Shapes.Forest_compile.forest; orig; holds; dynamic } in
     let tops = ref [] in
     let num_shapes = ref 0 in
-    List.iter
-      (fun (s : a Logic.Normal.summand) ->
-        let vars = Logic.Normal.summand_vars s in
-        List.iter
-          (fun cmap ->
-            let color_lits =
-              List.map
-                (fun (x, c) ->
-                  {
-                    Logic.Normal.pos = true;
-                    atom = Logic.Normal.ARel (color_rel c, [ Logic.Term.Var x ]);
-                  })
-                cmap
-            in
-            let s' =
-              {
-                s with
-                Logic.Normal.prod =
-                  {
-                    s.Logic.Normal.prod with
-                    Logic.Normal.lits = color_lits @ s.Logic.Normal.prod.Logic.Normal.lits;
-                  };
-              }
-            in
-            let shapes =
-              timed.timed t_decomp (fun () -> Shapes.Shape.enumerate ~d ~summand:s' ())
-            in
-            num_shapes := !num_shapes + List.length shapes;
-            let sgates =
-              timed.timed t_emit (fun () ->
-                  List.map (Shapes.Forest_compile.compile_shape b fs ~zero ~one) shapes)
-            in
-            let body =
-              match sgates with
-              | [] -> Circuits.Circuit.const b zero
-              | gs -> Circuits.Circuit.add b gs
-            in
-            let gate =
-              match s.Logic.Normal.prod.Logic.Normal.coeffs with
-              | [] -> body
-              | cs ->
-                  Circuits.Circuit.mul b (List.map (Circuits.Circuit.const b) cs @ [ body ])
-            in
-            tops := gate :: !tops;
-            check_budget ())
-          (surjective_maps vars subset))
-      relevant;
+    List.iteri
+      (fun i (s : a Logic.Normal.summand) ->
+        if is_relevant s then begin
+          let base = timed.timed t_decomp (fun () -> enum_shapes i s d) in
+          List.iter
+            (fun cmap ->
+              let color_lits = List.map (fun (x, c) -> (x, color_rel c)) cmap in
+              num_shapes := !num_shapes + List.length base;
+              let sgates =
+                timed.timed t_emit (fun () ->
+                    List.filter_map
+                      (fun sh ->
+                        let g =
+                          Shapes.Forest_compile.compile_shape b fs ~zero ~one
+                            (Shapes.Shape.with_unary_rels sh color_lits)
+                        in
+                        if g = Shapes.Forest_compile.zero_gate then None else Some g)
+                      base)
+              in
+              (* a summand whose every shape is statically zero contributes
+                 nothing: no gate at all, not a zero constant *)
+              if sgates <> [] then begin
+                let body = Circuits.Circuit.add b sgates in
+                let gate =
+                  match s.Logic.Normal.prod.Logic.Normal.coeffs with
+                  | [] -> body
+                  | cs ->
+                      Circuits.Circuit.mul b (List.map (Circuits.Circuit.const b) cs @ [ body ])
+                in
+                tops := gate :: !tops
+              end;
+              check_budget ())
+            (surjective_maps (Logic.Normal.summand_vars s) subset)
+        end)
+      nf;
     Obs.Trace.add_attr "depth" (Obs.Trace.I d);
     Obs.Trace.add_attr "shapes" (Obs.Trace.I !num_shapes);
     Obs.Trace.add_attr "gates_emitted"
@@ -282,6 +292,7 @@ let compile_plan (type a) ~(zero : a) ~(one : a) ?(equal : a -> a -> bool = ( = 
   let t_start = if instrumented then Obs.now_ns () else 0. in
   let t_decomp = ref 0. and t_emit = ref 0. in
   let timed = mk_timed () in
+  let enum_shapes = shape_cache () in
   (match Logic.Expr.free_vars_unique expr with
   | [] -> ()
   | fv ->
@@ -374,7 +385,7 @@ let compile_plan (type a) ~(zero : a) ~(one : a) ?(equal : a -> a -> bool = ( = 
             let lo = Circuits.Circuit.builder_len b in
             match
               compile_subset b ~nf ~holds ~dynamic ~zero ~one ~live ~verts
-                ~check_budget ~max_depth ~timed ~t_decomp ~t_emit subset
+                ~check_budget ~max_depth ~enum_shapes ~timed ~t_decomp ~t_emit subset
             with
             | None -> ()
             | Some (tops, d, shapes) ->
@@ -572,6 +583,7 @@ let recompile_local (type a) (plan : a plan) ~(touched : int list) : a local_res
       in
       let timed = mk_timed () in
       let t_decomp = ref 0. and t_emit = ref 0. in
+      let enum_shapes = shape_cache () in
       let holds = mk_holds plan.pl_inst color in
       let dynamic r = List.mem r plan.pl_dynamic_rels in
       let old_raw = plan.pl_raw in
@@ -608,7 +620,7 @@ let recompile_local (type a) (plan : a plan) ~(touched : int list) : a local_res
             match
               compile_subset b ~nf:plan.pl_nf ~holds ~dynamic ~zero:plan.pl_zero
                 ~one:plan.pl_one ~live ~verts ~check_budget
-                ~max_depth:plan.pl_max_depth ~timed ~t_decomp ~t_emit subset
+                ~max_depth:plan.pl_max_depth ~enum_shapes ~timed ~t_decomp ~t_emit subset
             with
             | None ->
                 (* verts and relevance are static given the pinned

@@ -40,6 +40,11 @@ type 'a t = {
   expr_closed : 'a Logic.Expr.t;  (** closed form, for fallback recompiles *)
   base_valuation : Circuits.Circuit.input_key -> 'a;
       (** weights-store valuation for input keys a new circuit introduces *)
+  unread : (Circuits.Circuit.input_key, 'a) Hashtbl.t;
+      (** the latest write to each weight tuple the circuit did not read
+          when it was written (or stopped reading since): a structural op
+          can make the circuit read it, and must then see this value, not
+          the prepare-time one *)
   e_mode : Circuits.Dyn.mode option;
   e_backend : Circuits.Dyn.backend option;
   e_domains : int option;
@@ -110,6 +115,7 @@ let prepare (type a) (ops : a Semiring.Intf.ops) ?mode ?backend ?domains ?opt ?t
     inst;
     expr_closed;
     base_valuation = valuation;
+    unread = Hashtbl.create 16;
     e_mode = mode;
     e_backend = backend;
     e_domains = domains;
@@ -142,8 +148,18 @@ let query (type a) (t : a t) (args : int list) : a =
   in
   Circuits.Dyn.with_temp t.dyn assignments (fun () -> Circuits.Dyn.value t.dyn)
 
-(** Update one weight. Tuples that cannot affect the query (their weight
-    is never read by the circuit) are ignored. *)
+(* A write to a weight tuple the circuit does not read changes no value
+   now, but a later insert/delete can make the circuit read the tuple:
+   remember it for that splice (or fallback) valuation, and journal it so
+   a replay remembers it too. *)
+let remember_unread t writes =
+  List.iter (fun (key, v) -> Hashtbl.replace t.unread key v) writes;
+  match Circuits.Dyn.journal t.dyn with
+  | Some j -> Circuits.Journal.append_unread j writes
+  | None -> ()
+
+(** Update one weight. A tuple the circuit does not read costs no wave;
+    its value is kept for when a structural update makes it read. *)
 let update t w tuple v =
   let key = (w, tuple) in
   t.upd_pending <- t.upd_pending + 1;
@@ -152,6 +168,7 @@ let update t w tuple v =
     t.upd_pending <- 0
   end;
   if Circuits.Dyn.has_input t.dyn key then Circuits.Dyn.set_input t.dyn key v
+  else remember_unread t [ (key, v) ]
 
 (** Batched weight updates: semantically equivalent to applying {!update}
     left to right (later writes to the same weight tuple win), but every
@@ -160,18 +177,20 @@ let update t w tuple v =
     batch instead of once per update. *)
 let update_many t (updates : (string * int list * 'a) list) =
   let total = ref 0 in
-  let relevant =
-    List.filter_map
+  let relevant, unread =
+    List.partition_map
       (fun (w, tuple, v) ->
         incr total;
         let key = (w, tuple) in
-        if Circuits.Dyn.has_input t.dyn key then Some (key, v) else None)
+        if Circuits.Dyn.has_input t.dyn key then Left (key, v) else Right (key, v))
       updates
   in
   (* one atomic add for the whole batch: a per-item Counter.incr is an
      atomic RMW per write and dominated sub-ms waves *)
   Obs.Counter.add m_updates !total;
-  Circuits.Dyn.set_inputs t.dyn relevant
+  Circuits.Dyn.set_inputs t.dyn relevant;
+  (* only after the wave committed: a rolled-back batch is retried whole *)
+  if unread <> [] then remember_unread t unread
 
 let meta t = t.meta
 let stats t = Circuits.Circuit.stats t.circuit
@@ -192,6 +211,21 @@ let journal_structural t ~insert rel tuple =
   | Some j -> Circuits.Journal.append_structural j ~insert ~rel ~tup:tuple
   | None -> ()
 
+(* Valuation of the inputs of a circuit that replaces the one [old_dyn]
+   runs: a tuple the old circuit read keeps its live value, one it did
+   not read its remembered write, else the weights store. *)
+let carried_valuation t old_dyn key =
+  match Circuits.Dyn.input_value old_dyn key with
+  | Some v -> v
+  | None -> (
+      match Hashtbl.find_opt t.unread key with Some v -> v | None -> t.base_valuation key)
+
+(* After [t.dyn] replaced [old_dyn]: the tuples the new circuit no longer
+   reads keep their last value among the unread writes. *)
+let remember_dropped_inputs t old_dyn =
+  Circuits.Dyn.iter_inputs old_dyn (fun key v ->
+      if not (Circuits.Dyn.has_input t.dyn key) then Hashtbl.replace t.unread key v)
+
 (* The amortization fallback: the update grew a treedepth witness past
    the compiled bound, so recompile from scratch (fresh coloring, fresh
    plan — the instance already holds the new tuple set) and rebuild the
@@ -208,18 +242,14 @@ let full_recompile (t : 'a t) : unit =
       t.expr_closed
   in
   let old_dyn = t.dyn in
-  let valuation key =
-    match Circuits.Dyn.input_value old_dyn key with
-    | Some v -> v
-    | None -> t.base_valuation key
-  in
   let dyn =
     Circuits.Dyn.create ?mode:t.e_mode ?backend:t.e_backend ?domains:t.e_domains t.ops
-      circuit valuation
+      circuit (carried_valuation t old_dyn)
   in
   Circuits.Dyn.adopt_accounting ~from:old_dyn dyn;
   Circuits.Dyn.charge dyn (Circuits.Dyn.num_gates dyn);
   t.dyn <- dyn;
+  remember_dropped_inputs t old_dyn;
   t.circuit <- circuit;
   t.meta <- meta;
   t.plan <- plan'
@@ -271,13 +301,11 @@ let structural (t : 'a t) ~insert rel tuple : unit =
    with
   | Compile.Localized { circuit; meta; plan; carry; _ } ->
       let old_dyn = t.dyn in
-      let valuation key =
-        match Circuits.Dyn.input_value old_dyn key with
-        | Some v -> v
-        | None -> t.base_valuation key
+      let dyn, report =
+        protect (fun () -> Circuits.Dyn.splice old_dyn circuit ~carry (carried_valuation t old_dyn))
       in
-      let dyn, report = protect (fun () -> Circuits.Dyn.splice old_dyn circuit ~carry valuation) in
       t.dyn <- dyn;
+      remember_dropped_inputs t old_dyn;
       t.circuit <- circuit;
       t.meta <- meta;
       t.plan <- plan;
@@ -330,18 +358,21 @@ let replay (t : 'a t) (j : 'a Circuits.Journal.t) : unit =
   Fun.protect
     ~finally:(fun () -> Circuits.Dyn.set_journal t.dyn saved)
     (fun () ->
-      List.iter
+      Circuits.Journal.iter
         (fun b ->
           match Circuits.Journal.structural b with
           | Some s ->
               structural t ~insert:s.Circuits.Journal.s_insert s.Circuits.Journal.s_rel
                 s.Circuits.Journal.s_tup
           | None ->
-              Circuits.Dyn.set_inputs t.dyn
-                (List.filter
-                   (fun (key, _) -> Circuits.Dyn.has_input t.dyn key)
-                   (Circuits.Journal.writes b)))
-        (Circuits.Journal.batches j))
+              let read, unread =
+                List.partition
+                  (fun (key, _) -> Circuits.Dyn.has_input t.dyn key)
+                  (Circuits.Journal.writes b)
+              in
+              Circuits.Dyn.set_inputs t.dyn read;
+              remember_unread t unread)
+        j)
 
 (** Per-operation cost attribution (Theorem 8 made inspectable): what one
     query or one update batch actually spent — wall time, gate

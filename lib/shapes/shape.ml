@@ -162,8 +162,6 @@ let enumerate ~d ~(summand : 'a Logic.Normal.summand) () : t list =
             done;
             !r
           in
-          let node_key i = (rep i dep.(i), dep.(i)) in
-          ignore node_key;
           try
             (* equality literals are decided by the merge structure *)
             List.iter
@@ -284,3 +282,24 @@ let enumerate ~d ~(summand : 'a Logic.Normal.summand) () : t list =
         go 0);
     !shapes
   end
+
+(** [s] with a positive unary literal [rel(x)] attached to the node of
+    each variable [x] in [lits], as {!enumerate} would have anchored it.
+    A unary literal never kills or splits a shape (a single node is
+    trivially a chain), so enumerating a summand once and attaching its
+    unary literals per shape gives exactly the shapes of the summand
+    with those literals — this is how the compiler adds the per-subset
+    color literals without re-enumerating. *)
+let with_unary_rels (s : t) (lits : (string * string) list) : t =
+  let nodes = Array.copy s.nodes in
+  List.iter
+    (fun (x, rel) ->
+      let id =
+        match List.assoc_opt x s.var_node with
+        | Some id -> id
+        | None -> invalid_arg ("Shape.with_unary_rels: unknown variable " ^ x)
+      in
+      let n = nodes.(id) in
+      nodes.(id) <- { n with rels = { rel; depths = [ n.sdepth ]; pos = true } :: n.rels })
+    (List.rev lits);
+  { s with nodes }

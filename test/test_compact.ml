@@ -424,6 +424,32 @@ let journal_structural_round_trip () =
   | Some { Journal.s_insert = true; s_rel = "E"; s_tup = [ 1; 2 ] } -> ()
   | _ -> Alcotest.fail "structural op did not survive the round trip"
 
+(* Records are held as their marshalled payloads: [iter] decodes them one
+   at a time, in the commit order [batches] gives, the open batch of
+   unread writes included. *)
+let journal_iter_eq_batches () =
+  let module Journal = Circuits.Journal in
+  let j : int Journal.t = Journal.create () in
+  Journal.append j [ (("w", [ 0 ]), 3) ];
+  Journal.append_unread j [ (("w", [ 4 ]), 1) ];
+  Journal.append_unread j [ (("w", [ 5 ]), 2); (("w", [ 4 ]), 6) ];
+  Journal.append_structural j ~insert:true ~rel:"E" ~tup:[ 1; 2 ];
+  Journal.append_unread j [ (("w", [ 4 ]), 7) ];
+  let seen = ref [] in
+  Journal.iter (fun b -> seen := b :: !seen) j;
+  let listed = Journal.batches j in
+  check_int "iter visits every batch" (List.length listed) (List.length !seen);
+  List.iter2
+    (fun (b : int Journal.batch) (b2 : int Journal.batch) ->
+      check_int "seq" b.Journal.seq b2.Journal.seq;
+      check_bool "writes" true (Journal.writes b = Journal.writes b2);
+      check_bool "structural" true (Journal.structural b = Journal.structural b2))
+    listed (List.rev !seen);
+  check_bool "unread writes keep the last value per key, first-write order" true
+    (List.map Journal.writes listed
+    = [ [ (("w", [ 0 ]), 3) ]; [ (("w", [ 4 ]), 6); (("w", [ 5 ]), 2) ]; []; [ (("w", [ 4 ]), 7) ] ]);
+  check_bool "verifies" true (Journal.verify j = None)
+
 let suite =
   [
     compact_eval_eq_boxed "nat (Bigarray plane)" (Intf.with_int_repr nat_ops) ~zero:0
@@ -462,4 +488,5 @@ let suite =
     Alcotest.test_case "golden journal stability" `Quick golden_journal_stability;
     Alcotest.test_case "journal structural round trip" `Quick
       journal_structural_round_trip;
+    Alcotest.test_case "journal iter = batches" `Quick journal_iter_eq_batches;
   ]

@@ -81,14 +81,27 @@ let expr_path2 =
       Logic.Expr.Guard
         (Logic.Formula.And [ e "x" "y"; e "y" "z"; Logic.Formula.neq (v "x") (v "z") ]) )
 
-(* random sparse instance: bounded-degree graph on 4..30 vertices *)
-let gen_db = QCheck.(pair (int_range 4 30) (int_range 0 10000))
+(* random sparse instance on 4..30 vertices: a bounded-degree graph,
+   one on half the vertices with the rest isolated, a star or a path.
+   Isolated vertices are forest roots every multi-variable shape dies
+   at; star centres and path vertices have fewer forest children than a
+   shape node has (permanents with more rows than columns) *)
+let gen_db = QCheck.(triple (int_range 0 3) (int_range 4 30) (int_range 0 10000))
+
+let gen_graph (kind, n, seed) =
+  match kind with
+  | 0 -> Graphs.Gen.random_bounded_degree ~seed ~n ~max_deg:3
+  | 1 ->
+      Graphs.Graph.of_edges ~n
+        (Graphs.Graph.edges (Graphs.Gen.random_bounded_degree ~seed ~n:(n / 2) ~max_deg:3))
+  | 2 -> Graphs.Gen.star n
+  | _ -> Graphs.Gen.path n
 
 let circuit_eq_reference (type a) name (ops : a Intf.ops) (mk : int -> a) expr ~count =
   t
     (QCheck.Test.make ~count ~name:(Printf.sprintf "circuit = reference: %s" name) gen_db
-       (fun (n, seed) ->
-         let g = Graphs.Gen.random_bounded_degree ~seed ~n ~max_deg:3 in
+       (fun ((_, n, seed) as db) ->
+         let g = gen_graph db in
          let inst = Db.Instance.of_graph g in
          let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:ops.Intf.zero in
          Db.Weights.fill_unary w ~n (fun i -> mk ((i * 7) + seed));

@@ -101,6 +101,132 @@ let equality_shapes () =
   (* and at depth d there are exactly d+1 such shapes *)
   check_int "d+1 shapes" 3 (List.length (Shapes.Shape.enumerate ~d:2 ~summand:s ()))
 
+(* attaching unary literals to enumerated shapes = enumerating with them:
+   what lets the compiler enumerate once per (summand, depth) and add
+   each color map's literals afterwards *)
+let unary_rels_match_enumeration () =
+  let s =
+    summand_of
+      (Logic.Expr.Sum
+         ( [ "x"; "y"; "z" ],
+           Logic.Expr.Mul
+             [
+               Logic.Expr.Guard
+                 (Logic.Formula.And
+                    [ Logic.Formula.Rel ("E", [ v "x"; v "y" ]); Logic.Formula.neq (v "y") (v "z") ]);
+               Logic.Expr.Weight ("u", [ v "x" ]);
+             ] ))
+  in
+  (* normalization renames the variables *)
+  let lits = List.combine (Logic.Normal.summand_vars s) [ "C1"; "C0"; "C1" ] in
+  let prod = s.Logic.Normal.prod in
+  let s' =
+    {
+      s with
+      Logic.Normal.prod =
+        {
+          prod with
+          Logic.Normal.lits =
+            List.map
+              (fun (x, r) -> { Logic.Normal.pos = true; atom = Logic.Normal.ARel (r, [ v x ]) })
+              lits
+            @ prod.Logic.Normal.lits;
+        };
+    }
+  in
+  for d = 0 to 3 do
+    let attached =
+      List.map
+        (fun sh -> Shapes.Shape.with_unary_rels sh lits)
+        (Shapes.Shape.enumerate ~d ~summand:s ())
+    in
+    check_bool
+      (Printf.sprintf "same shapes at depth %d" d)
+      true
+      (attached = Shapes.Shape.enumerate ~d ~summand:s' ())
+  done
+
+(* --- emission-time pruning of statically-zero subcircuits --- *)
+
+let flat_stage ~roots ~holds =
+  {
+    Shapes.Forest_compile.forest = Graphs.Forest.of_parents (Array.init roots Fun.id);
+    orig = Array.init roots Fun.id;
+    holds;
+    dynamic = (fun _ -> false);
+  }
+
+let perms_in b =
+  let n = ref 0 in
+  for id = 0 to Circuits.Circuit.builder_len b - 1 do
+    match b.Circuits.Circuit.buf.(id) with Circuits.Circuit.Perm _ -> incr n | _ -> ()
+  done;
+  !n
+
+(* Σ_{x,y} [x ≠ y ∧ R(x) ∧ S(y)] u(x) u(y) at depth 0: one shape, two
+   roots, R checked at x's node and S at y's *)
+let two_roots_shape () =
+  let s =
+    summand_of
+      (Logic.Expr.Sum
+         ( [ "x"; "y" ],
+           Logic.Expr.Mul
+             [
+               Logic.Expr.Guard
+                 (Logic.Formula.And
+                    [
+                      Logic.Formula.neq (v "x") (v "y");
+                      Logic.Formula.Rel ("R", [ v "x" ]);
+                      Logic.Formula.Rel ("S", [ v "y" ]);
+                    ]);
+               Logic.Expr.Weight ("u", [ v "x" ]);
+               Logic.Expr.Weight ("u", [ v "y" ]);
+             ] ))
+  in
+  match Shapes.Shape.enumerate ~d:0 ~summand:s () with
+  | [ sh ] -> sh
+  | l -> Alcotest.failf "expected one shape, got %d" (List.length l)
+
+let dead_shape_emits_nothing () =
+  let sh = two_roots_shape () in
+  let fs = flat_stage ~roots:4 ~holds:(fun _ _ -> false) in
+  let b = Circuits.Circuit.builder () in
+  let g = Shapes.Forest_compile.compile_shape b fs ~zero:0 ~one:1 sh in
+  check_int "statically zero" Shapes.Forest_compile.zero_gate g;
+  check_int "no gate emitted" 0 (Circuits.Circuit.builder_len b)
+
+let dead_rows_emit_no_perm () =
+  let sh = two_roots_shape () in
+  (* R holds nowhere: x's row is all zero *)
+  let b = Circuits.Circuit.builder () in
+  let fs = flat_stage ~roots:3 ~holds:(fun r _ -> r = "S") in
+  check_int "all-zero row" Shapes.Forest_compile.zero_gate
+    (Shapes.Forest_compile.compile_shape b fs ~zero:0 ~one:1 sh);
+  check_int "no perm for an all-zero row" 0 (perms_in b);
+  (* R and S both hold only at vertex 1: each row has one live entry, in
+     the same column — one live column for two rows *)
+  let b = Circuits.Circuit.builder () in
+  let fs = flat_stage ~roots:3 ~holds:(fun _ tup -> tup = [ 1 ]) in
+  check_int "too few live columns" Shapes.Forest_compile.zero_gate
+    (Shapes.Forest_compile.compile_shape b fs ~zero:0 ~one:1 sh);
+  check_int "no perm for too few live columns" 0 (perms_in b)
+
+let dead_columns_dropped () =
+  let sh = two_roots_shape () in
+  (* vertex 2 satisfies neither R nor S: its column is dropped; vertices
+     0 and 1 satisfy both *)
+  let fs = flat_stage ~roots:3 ~holds:(fun _ tup -> tup <> [ 2 ]) in
+  let b = Circuits.Circuit.builder () in
+  let g = Shapes.Forest_compile.compile_shape b fs ~zero:0 ~one:1 sh in
+  (match b.Circuits.Circuit.buf.(g) with
+  | Circuits.Circuit.Perm rows ->
+      check_int "two rows" 2 (Array.length rows);
+      check_int "two live columns" 2 (Array.length rows.(0))
+  | _ -> Alcotest.fail "expected a permanent gate");
+  let c = Circuits.Circuit.finish b ~output:g in
+  (* u = [1;2;3] restricted to {0,1}: u0·u1 + u1·u0 = 4 *)
+  check_int "value" 4 (Circuits.Circuit.eval nat_ops c (fun (_, t) -> List.hd t + 1))
+
 (* --- provenance: enumerated = explicit, property-tested --- *)
 
 module FreeInt = struct
@@ -197,6 +323,11 @@ let suite =
     Alcotest.test_case "edges force a chain" `Quick chain_forced_by_edges;
     Alcotest.test_case "distinctness shape + permanent" `Quick distinctness_shapes;
     Alcotest.test_case "equality collapses nodes" `Quick equality_shapes;
+    Alcotest.test_case "unary literals attach after enumeration" `Quick
+      unary_rels_match_enumeration;
+    Alcotest.test_case "dead shape emits no gate" `Quick dead_shape_emits_nothing;
+    Alcotest.test_case "dead rows emit no permanent" `Quick dead_rows_emit_no_perm;
+    Alcotest.test_case "dead columns are dropped" `Quick dead_columns_dropped;
     prov_matches_explicit;
     Alcotest.test_case "minheap basics" `Quick minheap_basics;
     minheap_tracks_random_updates;

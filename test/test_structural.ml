@@ -183,6 +183,114 @@ let journal_replay_mixed () =
   Engine.Eval.update t2 "w" [ 0; 2 ] 2;
   check_int "post-replay update agreement" (Engine.Eval.value t) (Engine.Eval.value t2)
 
+(* Σ_xyz [E(x,y) ∧ E(y,z) ∧ E(z,x)] · w(x) *)
+let weighted_triangles =
+  Logic.Expr.Sum
+    ( [ "x"; "y"; "z" ],
+      Logic.Expr.Mul
+        [
+          Logic.Expr.Guard (Logic.Formula.And [ e "x" "y"; e "y" "z"; e "z" "x" ]);
+          Logic.Expr.Weight ("w", [ v "x" ]);
+        ] )
+
+(* Σ_xy [E(x,y)] · w(x): w(x) is read only once x has an out-arc *)
+let out_weight =
+  Logic.Expr.Sum
+    ( [ "x"; "y" ],
+      Logic.Expr.Mul [ Logic.Expr.Guard (e "x" "y"); Logic.Expr.Weight ("w", [ v "x" ]) ] )
+
+(* An engine on [g] with unary weights all 1, whose unchecked writes go
+   to a second store too: the reference reads that one. *)
+let unread_fixture ?max_depth g expr =
+  let n = Graphs.Graph.n g in
+  let inst = Db.Instance.of_graph g in
+  let inst0 = Db.Instance.copy inst in
+  let ones () =
+    let w = Db.Weights.create ~name:"w" ~arity:1 ~zero:0 in
+    Db.Weights.fill_unary w ~n (fun _ -> 1);
+    w
+  in
+  let weights0 = Db.Weights.bundle [ ones () ] in
+  let ws = ones () in
+  let written = Db.Weights.bundle [ ws ] in
+  let t = Engine.Eval.prepare nat_ops ?max_depth inst weights0 expr in
+  let j = Engine.Eval.enable_journal t in
+  let write x k =
+    Db.Weights.set ws [ x ] k;
+    Engine.Eval.update t "w" [ x ] k
+  in
+  let check name =
+    check_int name (Engine.Reference.eval nat_ops inst written expr) (Engine.Eval.value t)
+  in
+  (* a fresh engine on the pre-journal state, replaying [j], serves the
+     same value *)
+  let check_replay () =
+    let t2 = Engine.Eval.prepare nat_ops ?max_depth inst0 weights0 expr in
+    Engine.Eval.replay t2 j;
+    check_int "replay reproduces the served value" (Engine.Eval.value t)
+      (Engine.Eval.value t2)
+  in
+  (t, ws, j, write, check, check_replay)
+
+(* Unchecked weight writes to tuples the circuit does not read (no
+   triangle reaches them yet, or none does any more) must not be lost:
+   the insert that makes the circuit read them sees the written value,
+   not the prepare-time one, and a journal replay reproduces them. *)
+let unread_writes_survive_splice () =
+  let g = Graphs.Graph.of_edges ~n:6 [ (0, 1); (1, 2); (3, 4) ] in
+  let t, ws, j, write, check, check_replay = unread_fixture g weighted_triangles in
+  write 0 3;
+  for x = 0 to 5 do
+    write x 7
+  done;
+  (* a run of unread writes is one journal batch, last value per tuple *)
+  (match Circuits.Journal.batches j with
+  | [ b ] ->
+      check_bool "one entry per tuple, last value" true
+        (Circuits.Journal.writes b = List.init 6 (fun x -> (("w", [ x ]), 7)))
+  | bs -> Alcotest.failf "expected one journal batch, got %d" (List.length bs));
+  List.iter
+    (fun (a, b) -> Engine.Eval.insert_tuple t "E" [ a; b ])
+    [ (0, 2); (2, 0); (4, 5); (5, 4); (3, 5); (5, 3) ];
+  check "writes before the triangles existed";
+  check_int "two weighted triangles" 84 (Engine.Eval.value t);
+  (* w(1) written while read, then unread, read again; w(0) written
+     while unread in between *)
+  write 1 3;
+  del t 0 2;
+  check "after the triangle went";
+  write 0 2;
+  ins t 0 2;
+  check "writes before and while the triangle was gone";
+  (* a batch mixing read and unread tuples *)
+  del t 3 5;
+  Engine.Eval.update_many t [ ("w", [ 4 ], 2); ("w", [ 0 ], 4) ];
+  Db.Weights.set ws [ 4 ] 2;
+  Db.Weights.set ws [ 0 ] 4;
+  ins t 3 5;
+  check "mixed batch";
+  check_replay ()
+
+(* the same on the fallback recompile: each arc (i+1, i) grows the path
+   under the pinned coloring, and is the first to make the circuit read
+   w(i+1) — so whichever of them trips the depth bound brings an unread
+   write into the fresh circuit *)
+let unread_writes_survive_fallback () =
+  let g = Graphs.Graph.of_edges ~n:8 [] in
+  let t, _, _, write, check, check_replay = unread_fixture ~max_depth:2 g out_weight in
+  for x = 0 to 7 do
+    write x (x + 10)
+  done;
+  for i = 0 to 6 do
+    Engine.Eval.insert_tuple t "E" [ i + 1; i ];
+    check (Printf.sprintf "after arc %d->%d" (i + 1) i);
+    Engine.Eval.insert_tuple t "E" [ i; i + 1 ]
+  done;
+  check "after the path grew";
+  check_bool "fallback recompile exercised" true
+    ((Engine.Eval.churn_stats t).Engine.Eval.ch_fallbacks > 0);
+  check_replay ()
+
 (* a fault mid-splice rolls the whole structural wave back: instance,
    live graph, circuit and value are the pre-update ones *)
 let splice_fault_rolls_back () =
@@ -244,6 +352,9 @@ let suite =
     Alcotest.test_case "bad deltas rejected" `Quick bad_deltas_rejected;
     Alcotest.test_case "fallback on depth growth" `Quick fallback_on_depth_growth;
     Alcotest.test_case "journal replay (mixed batches)" `Quick journal_replay_mixed;
+    Alcotest.test_case "unread writes survive a splice" `Quick unread_writes_survive_splice;
+    Alcotest.test_case "unread writes survive a fallback" `Quick
+      unread_writes_survive_fallback;
     Alcotest.test_case "splice fault rolls back" `Quick splice_fault_rolls_back;
     Alcotest.test_case "checked structural ops" `Quick checked_structural;
   ]
